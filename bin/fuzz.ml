@@ -37,4 +37,4 @@ let () =
     end;
     if case mod 20 = 0 then Printf.eprintf "  ...%d/%d\n%!" case count
   done;
-  Printf.printf "seed %d: %d cases clean (%d skipped for fuel)\n" seed count !skipped
+  Printf.printf "seed %d: %d cases clean (%d skipped: out of fuel or call depth)\n" seed count !skipped

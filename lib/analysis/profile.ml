@@ -25,37 +25,93 @@ let create () =
     train_executed = 0;
   }
 
-let bump tbl key by =
-  let cur = match Hashtbl.find_opt tbl key with Some c -> c | None -> 0. in
-  Hashtbl.replace tbl key (cur +. by)
+(* Event counters for [collect]: a hit increments an [int ref] in place, so
+   counting allocates nothing; only a key's first event allocates its
+   counter.  Keys are remembered in first-event order, and the float tables
+   of [t] are built from them after the run: the same keys, inserted in the
+   same order, as adding [1.] per event would have produced.  Counts are
+   exact integers far below 2^53, so the floats are equal too. *)
+type 'k counter = { tbl : ('k, int ref) Hashtbl.t; mutable order : ('k * int ref) list }
+
+let counter n = { tbl = Hashtbl.create n; order = [] }
+
+let count c key =
+  match Hashtbl.find c.tbl key with
+  | r -> incr r
+  | exception Not_found ->
+      let r = ref 1 in
+      Hashtbl.add c.tbl key r;
+      c.order <- (key, r) :: c.order
+
+let to_floats order tbl =
+  List.iter (fun (k, r) -> Hashtbl.replace tbl k (float_of_int !r)) (List.rev order)
+
+let find_or_add tbl key make =
+  match Hashtbl.find tbl key with
+  | v -> v
+  | exception Not_found ->
+      let v = make () in
+      Hashtbl.add tbl key v;
+      v
 
 (* Run the program on [input] and collect counts.  Returns the profile and
    the program's (exit code, output) for sanity checking. *)
 let collect (p : Program.t) (input : int64 array) =
   let prof = create () in
+  (* Block entries are counted per function, in a label table found through
+     a memo on the physical function-name string: an entry in the same
+     function as the previous one costs one label lookup.  [block_order]
+     keeps the (function, label) first-event order. *)
+  let per_func : (string, (string, int ref) Hashtbl.t) Hashtbl.t = Hashtbl.create 64 in
+  let block_order = ref [] in
+  let last_name = ref "\000" and last = ref (Hashtbl.create 1) in
+  let branch_exec = counter 256 and branch_taken = counter 256 in
+  let calls = counter 64 in
+  let sites : (int, string counter) Hashtbl.t = Hashtbl.create 16 in
+  let site_order = ref [] in
   let hooks =
     {
       Interp.on_block =
-        (fun f b -> bump prof.block_counts (f.Func.name, b.Block.label) 1.);
+        (fun f b ->
+          let name = f.Func.name in
+          if not (!last_name == name) then begin
+            last := find_or_add per_func name (fun () -> Hashtbl.create 16);
+            last_name := name
+          end;
+          let label = b.Block.label in
+          match Hashtbl.find !last label with
+          | r -> incr r
+          | exception Not_found ->
+              let r = ref 1 in
+              Hashtbl.add !last label r;
+              block_order := ((name, label), r) :: !block_order);
       on_branch =
         (fun _ i taken ->
-          bump prof.branch_exec i.Instr.id 1.;
-          if taken then bump prof.branch_taken i.Instr.id 1.);
-      on_call = (fun callee -> bump prof.call_counts callee 1.);
+          count branch_exec i.Instr.id;
+          if taken then count branch_taken i.Instr.id);
+      on_call = (fun callee -> count calls callee);
       on_indirect =
         (fun i callee ->
-          let tbl =
-            match Hashtbl.find_opt prof.indirect_targets i.Instr.id with
-            | Some t -> t
-            | None ->
-                let t = Hashtbl.create 4 in
-                Hashtbl.replace prof.indirect_targets i.Instr.id t;
-                t
-          in
-          bump tbl callee 1.);
+          let site = i.Instr.id in
+          count
+            (find_or_add sites site (fun () ->
+                 let c = counter 4 in
+                 site_order := (site, c) :: !site_order;
+                 c))
+            callee);
     }
   in
   let code, out, st = Interp.run ~hooks p input in
+  to_floats !block_order prof.block_counts;
+  to_floats branch_exec.order prof.branch_exec;
+  to_floats branch_taken.order prof.branch_taken;
+  to_floats calls.order prof.call_counts;
+  List.iter
+    (fun (site, c) ->
+      let tbl = Hashtbl.create 4 in
+      to_floats c.order tbl;
+      Hashtbl.replace prof.indirect_targets site tbl)
+    (List.rev !site_order);
   prof.train_executed <- st.Interp.executed;
   (prof, code, out)
 

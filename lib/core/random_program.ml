@@ -5,16 +5,19 @@
    and by the machine simulator, and all observable behaviour (exit code,
    printed output) must agree with the unoptimized program's.
 
-   Generated programs always terminate: loops are bounded counted loops,
-   division and modulus take non-zero constant divisors, and all array
-   indices are masked into range. *)
+   Generated programs always terminate: loops are bounded counted loops
+   whose counters only their own loop writes, [helper]'s body never calls
+   [helper] (so there is no recursion), division and modulus take non-zero
+   constant divisors, and all array indices are masked into range. *)
 
 module Gen = struct
   open QCheck.Gen
 
   let var n = Printf.sprintf "v%d" n
 
-  let rec expr depth st =
+  (* [calls]: whether the expression may call [helper] — never inside
+     [helper]'s own body. *)
+  let rec expr ?(calls = true) depth st =
     let atom =
       oneof
         [
@@ -27,25 +30,31 @@ module Gen = struct
           return "input(0)";
         ]
     in
+    let sub = expr ~calls (depth - 1) in
     if depth <= 0 then atom st
     else
       (oneof
-         [
-           atom;
-           (let* a = expr (depth - 1) and* b = expr (depth - 1) in
-            let* op = oneofl [ "+"; "-"; "*"; "&"; "|"; "^" ] in
-            return (Printf.sprintf "(%s %s %s)" a op b));
-           (let* a = expr (depth - 1) in
-            (* safe division / modulus: constant non-zero divisor *)
-            let* op = oneofl [ "/"; "%" ] in
-            let* k = int_range 2 9 in
-            return (Printf.sprintf "(%s %s %d)" a op k));
-           (let* a = expr (depth - 1) and* b = expr (depth - 1) in
-            let* op = oneofl [ "<"; ">"; "=="; "!=" ] in
-            return (Printf.sprintf "(%s %s %s)" a op b));
-           (let* a = expr (depth - 1) in
-            return (Printf.sprintf "helper(%s)" a));
-         ])
+         ([
+            atom;
+            (let* a = sub and* b = sub in
+             let* op = oneofl [ "+"; "-"; "*"; "&"; "|"; "^" ] in
+             return (Printf.sprintf "(%s %s %s)" a op b));
+            (let* a = sub in
+             (* safe division / modulus: constant non-zero divisor *)
+             let* op = oneofl [ "/"; "%" ] in
+             let* k = int_range 2 9 in
+             return (Printf.sprintf "(%s %s %d)" a op k));
+            (let* a = sub and* b = sub in
+             let* op = oneofl [ "<"; ">"; "=="; "!=" ] in
+             return (Printf.sprintf "(%s %s %s)" a op b));
+          ]
+         @
+         if calls then
+           [
+             (let* a = sub in
+              return (Printf.sprintf "helper(%s)" a));
+           ]
+         else []))
         st
 
   let assign =
@@ -70,12 +79,15 @@ module Gen = struct
              let* a = block (depth - 1) and* b = block (depth - 1) in
              return (Printf.sprintf "if (%s) {\n%s\n} else {\n%s\n}" c a b) );
            ( 1,
+             (* each nesting level counts with its own variable (v4-v6,
+                which nothing else writes), so an inner loop never resets
+                an outer loop's counter *)
              let* n = int_range 1 12 in
              let* body = block (depth - 1) in
-             let* v = int_range 4 5 in
+             let v = var (3 + depth) in
              return
-               (Printf.sprintf "for (%s = 0; %s < %d; %s = %s + 1) {\n%s\n}"
-                  (var v) (var v) n (var v) (var v) body) );
+               (Printf.sprintf "for (%s = 0; %s < %d; %s = %s + 1) {\n%s\n}" v v n v v
+                  body) );
          ])
       st
 
@@ -87,13 +99,13 @@ module Gen = struct
 
   let program =
     let* body = block 3 in
-    let* helper_body = expr 2 in
+    let* helper_body = expr ~calls:false 2 in
     let* seed = int_range 0 1000 in
     return
       (Printf.sprintf
          {|
 int g[32];
-int v0; int v1; int v2; int v3; int v4; int v5;
+int v0; int v1; int v2; int v3; int v4; int v5; int v6;
 int helper(int x) {
   int v0; int v1; int v2; int v3;
   v0 = x; v1 = x * 3; v2 = 7; v3 = 1;
@@ -102,7 +114,7 @@ int helper(int x) {
 int main() {
   int i;
   for (i = 0; i < 32; i = i + 1) { g[i] = (i * %d + 3) %% 101 - 20; }
-  v0 = 1; v1 = 2; v2 = 3; v3 = 4; v4 = 0; v5 = 0;
+  v0 = 1; v1 = 2; v2 = 3; v3 = 4; v4 = 0; v5 = 0; v6 = 0;
 %s
   print_int(v0); print_int(v1); print_int(v2); print_int(v3);
   print_int(g[5]); print_int(g[17]);
@@ -128,7 +140,8 @@ let configs =
 
 type outcome =
   | Agree  (** every configuration matched the reference *)
-  | Skipped  (** the reference run exhausted its fuel; nothing to compare *)
+  | Skipped
+      (** a run exhausted its fuel or its call depth; nothing to compare *)
   | Mismatch of { config : string; ir_ok : bool; machine_ok : bool }
   | Crash of { config : string; exn : string }
 
@@ -137,26 +150,32 @@ let reference ?(fuel = 4_000_000) (src : string) (input : int64 array) =
   let code, out, _ = Epic_ir.Interp.run ~fuel p input in
   (code, out)
 
+(* A run stopped by an executor's budget (fuel or call depth) rather than
+   by a fault: the case is vacuous, not a failure. *)
+let exhausted = function
+  | Epic_ir.Interp.Out_of_fuel | Epic_ir.Interp.Call_depth_exceeded
+  | Epic_sim.Machine.Out_of_fuel | Epic_sim.Machine.Call_depth_exceeded ->
+      true
+  | _ -> false
+
 (* Check one source at every configuration, both through the interpreter
    (IR semantics after all transforms) and through the machine. *)
 let check ?(fuel = 8_000_000) (src : string) (input : int64 array) : outcome =
   match reference src input with
-  | exception Epic_ir.Interp.Out_of_fuel -> Skipped
+  | exception e when exhausted e -> Skipped
   | expected ->
       let rec go = function
         | [] -> Agree
         | (name, config) :: rest -> (
             match Driver.compile ~config ~train:input src with
-            | exception Epic_ir.Interp.Out_of_fuel -> Skipped
+            | exception e when exhausted e -> Skipped
             | exception e -> Crash { config = name; exn = Printexc.to_string e }
             | compiled -> (
                 match
                   ( Driver.run_reference ~fuel compiled input,
                     Driver.run ~fuel compiled input )
                 with
-                | exception (Epic_ir.Interp.Out_of_fuel | Epic_sim.Machine.Out_of_fuel)
-                  ->
-                    Skipped
+                | exception e when exhausted e -> Skipped
                 | exception e -> Crash { config = name; exn = Printexc.to_string e }
                 | (ic, io), (mc, mo, _) ->
                     let ir_ok = (ic, io) = expected in

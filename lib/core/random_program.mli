@@ -14,7 +14,7 @@ val configs : (string * Config.t) list
 
 type outcome =
   | Agree
-  | Skipped  (** the reference ran out of fuel; vacuous *)
+  | Skipped  (** a run ran out of fuel or call depth; vacuous *)
   | Mismatch of { config : string; ir_ok : bool; machine_ok : bool }
   | Crash of { config : string; exn : string }
 

@@ -29,6 +29,63 @@ let no_hooks =
     on_indirect = (fun _ _ -> ());
   }
 
+exception Call_depth_exceeded
+
+(* Deepest call chain either executor will build (the machine enforces the
+   same bound).  The deepest chain of the 12 suite workloads is 13 live
+   calls (gcc's recursive descent; every other workload stays within 8),
+   measured on train and reference inputs at every optimization level in
+   both executors, including the compiler's profiling runs.  So the bound
+   only ever stops runaway recursion, turning it into an exception while
+   the frames and the host stack still take a few tens of MB. *)
+let max_call_depth = 10_000
+
+(* The frame's register file is flat (DESIGN.md §10): per-class arrays
+   mirroring the simulator's frame, instead of a [value Reg.Tbl.t].  Values
+   are coerced to the destination register's class at write time (with the
+   same [as_int]/[as_float]/[as_pred] conversions reads used to apply), so
+   every register access is a couple of array loads rather than a hashed
+   lookup on a boxed key.  Each bank covers exactly the ids of its class the
+   function uses: virtual banks are indexed by [id - base] (so
+   [Func.fresh_reg]'s 1000+ ids and hand-built small ids cost the same),
+   physical banks by id up to the largest one used.  Branch registers never
+   reach the executed IR and fold into the integer banks, as in the
+   simulator. *)
+type frame = {
+  func : Func.t;
+  pints : int64 array; (* physical r0.. (r0 writes dropped) *)
+  pinat : bool array;
+  pflts : float array; (* physical f0.. *)
+  pfnat : bool array;
+  pprds : bool array; (* physical p0.. (p0 pinned true) *)
+  ibase : int; (* smallest virtual Int/Brr id of the function *)
+  vints : int64 array; (* virtual, indexed by id - ibase *)
+  vinat : bool array;
+  fbase : int;
+  vflts : float array; (* indexed by id - fbase *)
+  vfnat : bool array;
+  pbase : int;
+  vprds : bool array; (* indexed by id - pbase *)
+  alat : (int64 * int) Reg.Tbl.t; (* advanced-load entries: reg -> (addr, size) *)
+}
+
+(* What one callee name resolves to in a run: an intrinsic, or a function
+   with its frame geometry and its pool of released frames (the
+   interpreter's counterpart of [Machine.alloc_frame]/[release_frame]). *)
+type code = {
+  cfunc : Func.t;
+  vspan : (int * int) array; (* (base, span) of virtual Int, Flt, Prd *)
+  pspan : int array; (* physical Int, Flt, Prd spans (r12 and p0 included) *)
+  mutable free : frame list;
+}
+
+type callee = Builtin of Intrinsics.kind | Code of code
+
+type calls = {
+  callees : (string, callee) Hashtbl.t; (* filled on each name's first call *)
+  mutable depth : int; (* live calls *)
+}
+
 type state = {
   program : Program.t;
   mem : Memimage.t;
@@ -41,39 +98,12 @@ type state = {
   mutable wild_loads : int; (* speculative accesses to unmapped pages *)
   mutable alat_recoveries : int; (* chk.a found its entry invalidated *)
   hooks : hooks;
-  vspans : (string, int * int * int) Hashtbl.t;
-      (* per-function virtual-register bank sizes (ints+brr, flts, prds);
-         a host-speed cache, computed on first call of each function *)
+  calls : calls; (* per run, so runs on different domains share nothing *)
 }
 
 (* One ALAT per frame would be unsound across our per-frame register files;
    like the hardware we keep one ALAT, keyed by destination register, and
    conservatively flush it at calls. *)
-
-(* The frame's register file is flat (DESIGN.md §10): per-class arrays
-   mirroring the simulator's frame, instead of a [value Reg.Tbl.t].  Values
-   are coerced to the destination register's class at write time (with the
-   same [as_int]/[as_float]/[as_pred] conversions reads used to apply), so
-   every register access is a couple of array loads rather than a hashed
-   lookup on a boxed key.  Physical banks have the IA-64 geometry; virtual
-   banks are sized by the largest virtual id the function actually uses
-   (hand-built test programs use small ids; [Func.fresh_reg] ids start at
-   1000).  Branch registers never reach the executed IR and fold into the
-   integer banks, as in the simulator. *)
-type frame = {
-  func : Func.t;
-  pints : int64 array; (* physical r0-r127 (r0 writes dropped) *)
-  pinat : bool array;
-  pflts : float array; (* physical f0-f127 *)
-  pfnat : bool array;
-  pprds : bool array; (* physical p0-p63 (p0 pinned true) *)
-  vints : int64 array; (* virtual, indexed by id *)
-  vinat : bool array;
-  vflts : float array;
-  vfnat : bool array;
-  vprds : bool array;
-  alat : (int64 * int) Reg.Tbl.t; (* advanced-load entries: reg -> (addr, size) *)
-}
 
 let create ?(hooks = no_hooks) ?(fuel = 400_000_000) program input =
   Program.assign_addresses program;
@@ -91,56 +121,99 @@ let create ?(hooks = no_hooks) ?(fuel = 400_000_000) program input =
     wild_loads = 0;
     alat_recoveries = 0;
     hooks;
-    vspans = Hashtbl.create 16;
+    calls = { callees = Hashtbl.create 16; depth = 0 };
   }
 
-(* Virtual-register bank sizes for [f]: one more than the largest virtual id
-   of each class appearing anywhere in the function (params, destinations,
-   sources, qualifying predicates).  Every register the interpreter can
-   touch during a call appears in one of those positions. *)
-let compute_vspans (f : Func.t) =
-  let si = ref 0 and sf = ref 0 and sp = ref 0 in
+let cls_index = function Reg.Int | Reg.Brr -> 0 | Reg.Flt -> 1 | Reg.Prd -> 2
+
+(* Register-bank geometry of [f]: per class, the smallest and largest
+   virtual id and the largest physical id appearing anywhere in the
+   function (params, destinations, sources, qualifying predicates).  Every
+   register the interpreter can touch during a call appears in one of those
+   positions, except the two it touches implicitly: the stack pointer
+   (written at entry, read at calls) and p0. *)
+let code_of (f : Func.t) =
+  let vlo = Array.make 3 max_int and vhi = Array.make 3 (-1) in
+  let phi = Array.make 3 (-1) in
   let see (r : Reg.t) =
-    if not r.Reg.phys then
-      match r.Reg.cls with
-      | Reg.Int | Reg.Brr -> if r.Reg.id >= !si then si := r.Reg.id + 1
-      | Reg.Flt -> if r.Reg.id >= !sf then sf := r.Reg.id + 1
-      | Reg.Prd -> if r.Reg.id >= !sp then sp := r.Reg.id + 1
+    let c = cls_index r.Reg.cls and id = r.Reg.id in
+    if r.Reg.phys then (if id > phi.(c) then phi.(c) <- id)
+    else begin
+      if id < vlo.(c) then vlo.(c) <- id;
+      if id > vhi.(c) then vhi.(c) <- id
+    end
   in
+  see Reg.sp;
+  see Reg.p0;
   List.iter see f.Func.params;
   Func.iter_instrs f (fun (i : Instr.t) ->
       List.iter see i.Instr.dsts;
       List.iter (function Operand.Reg r -> see r | _ -> ()) i.Instr.srcs;
       match i.Instr.pred with Some p -> see p | None -> ());
-  (!si, !sf, !sp)
+  Code
+    {
+      cfunc = f;
+      vspan =
+        Array.init 3 (fun c -> if vhi.(c) < 0 then (0, 0) else (vlo.(c), vhi.(c) - vlo.(c) + 1));
+      pspan = Array.map (fun hi -> hi + 1) phi;
+      free = [];
+    }
 
-let vspans st (f : Func.t) =
-  match Hashtbl.find_opt st.vspans f.Func.name with
-  | Some s -> s
-  | None ->
-      let s = compute_vspans f in
-      Hashtbl.add st.vspans f.Func.name s;
-      s
+let resolve st fname =
+  match Hashtbl.find st.calls.callees fname with
+  | c -> c
+  | exception Not_found ->
+      let c =
+        match Intrinsics.of_name fname with
+        | Some k -> Builtin k
+        | None -> code_of (Program.find_func_exn st.program fname)
+      in
+      Hashtbl.add st.calls.callees fname c;
+      c
 
-let fresh_frame st (f : Func.t) =
-  let si, sf, sp = vspans st f in
-  let pprds = Array.make Reg.num_prd false in
-  pprds.(0) <- true;
-  (* p0 hardwired *)
-  {
-    func = f;
-    pints = Array.make Reg.num_int 0L;
-    pinat = Array.make Reg.num_int false;
-    pflts = Array.make Reg.num_flt 0.;
-    pfnat = Array.make Reg.num_flt false;
-    pprds;
-    vints = Array.make si 0L;
-    vinat = Array.make si false;
-    vflts = Array.make sf 0.;
-    vfnat = Array.make sf false;
-    vprds = Array.make sp false;
-    alat = Reg.Tbl.create 8;
-  }
+(* A frame for one call: a released frame of the same function, cleared to
+   read exactly like a fresh one (every register 0 / not NaT / false, p0
+   true, empty ALAT), or a new one. *)
+let alloc_frame c =
+  let vspan = c.vspan and pspan = c.pspan in
+  match c.free with
+  | fr :: tl ->
+      c.free <- tl;
+      Array.fill fr.pints 0 pspan.(0) 0L;
+      Array.fill fr.pinat 0 pspan.(0) false;
+      Array.fill fr.pflts 0 pspan.(1) 0.;
+      Array.fill fr.pfnat 0 pspan.(1) false;
+      Array.fill fr.pprds 1 (pspan.(2) - 1) false;
+      let _, si = vspan.(0) and _, sf = vspan.(1) and _, sp = vspan.(2) in
+      Array.fill fr.vints 0 si 0L;
+      Array.fill fr.vinat 0 si false;
+      Array.fill fr.vflts 0 sf 0.;
+      Array.fill fr.vfnat 0 sf false;
+      Array.fill fr.vprds 0 sp false;
+      Reg.Tbl.clear fr.alat;
+      fr
+  | [] ->
+      let pprds = Array.make pspan.(2) false in
+      pprds.(0) <- true;
+      (* p0 hardwired *)
+      let ib, si = vspan.(0) and fb, sf = vspan.(1) and pb, sp = vspan.(2) in
+      {
+        func = c.cfunc;
+        pints = Array.make pspan.(0) 0L;
+        pinat = Array.make pspan.(0) false;
+        pflts = Array.make pspan.(1) 0.;
+        pfnat = Array.make pspan.(1) false;
+        pprds;
+        ibase = ib;
+        vints = Array.make si 0L;
+        vinat = Array.make si false;
+        fbase = fb;
+        vflts = Array.make sf 0.;
+        vfnat = Array.make sf false;
+        pbase = pb;
+        vprds = Array.make sp false;
+        alat = Reg.Tbl.create 8;
+      }
 
 let as_int = function
   | Vi i -> `I i
@@ -162,17 +235,19 @@ let as_pred = function
 let read_reg fr (r : Reg.t) =
   let id = r.Reg.id in
   match r.Reg.cls with
-  | Reg.Prd -> Vp (if r.Reg.phys then fr.pprds.(id) else fr.vprds.(id))
+  | Reg.Prd -> Vp (if r.Reg.phys then fr.pprds.(id) else fr.vprds.(id - fr.pbase))
   | Reg.Flt ->
       if r.Reg.phys then
         if fr.pfnat.(id) then Vnat else Vf fr.pflts.(id)
-      else if fr.vfnat.(id) then Vnat
-      else Vf fr.vflts.(id)
+      else
+        let id = id - fr.fbase in
+        if fr.vfnat.(id) then Vnat else Vf fr.vflts.(id)
   | Reg.Int | Reg.Brr ->
       if r.Reg.phys then
         if fr.pinat.(id) then Vnat else Vi fr.pints.(id)
-      else if fr.vinat.(id) then Vnat
-      else Vi fr.vints.(id)
+      else
+        let id = id - fr.ibase in
+        if fr.vinat.(id) then Vnat else Vi fr.vints.(id)
 
 let write_reg fr (r : Reg.t) v =
   let id = r.Reg.id in
@@ -181,9 +256,11 @@ let write_reg fr (r : Reg.t) v =
       if r.Reg.phys then begin
         if id <> 0 then fr.pprds.(id) <- as_pred v (* p0 pinned *)
       end
-      else fr.vprds.(id) <- as_pred v
+      else fr.vprds.(id - fr.pbase) <- as_pred v
   | Reg.Flt -> (
-      let flts, fnat = if r.Reg.phys then (fr.pflts, fr.pfnat) else (fr.vflts, fr.vfnat) in
+      let flts, fnat, id =
+        if r.Reg.phys then (fr.pflts, fr.pfnat, id) else (fr.vflts, fr.vfnat, id - fr.fbase)
+      in
       match as_float v with
       | `F f ->
           flts.(id) <- f;
@@ -192,7 +269,9 @@ let write_reg fr (r : Reg.t) v =
   | Reg.Int | Reg.Brr ->
       if r.Reg.phys && id = 0 then () (* r0 hardwired zero *)
       else
-        let ints, inat = if r.Reg.phys then (fr.pints, fr.pinat) else (fr.vints, fr.vinat) in
+        let ints, inat, id =
+          if r.Reg.phys then (fr.pints, fr.pinat, id) else (fr.vints, fr.vinat, id - fr.ibase)
+        in
         (match as_int v with
         | `I i ->
             ints.(id) <- i;
@@ -312,21 +391,34 @@ let do_load st (spec : Opcode.spec_kind) (addr : int64) size =
           st.wild_loads <- st.wild_loads + 1;
           Vnat)
 
+(* Bind arguments to parameters in order; missing arguments leave their
+   parameter at its cleared value, extra arguments are ignored. *)
+let rec bind_params fr params args =
+  match (params, args) with
+  | p :: ps, v :: vs ->
+      write_reg fr p v;
+      bind_params fr ps vs
+  | _, [] | [], _ -> ()
+
 (* Execute one function invocation; returns the list of returned values. *)
 let rec exec_call st (fname : string) (args : value list) (caller_sp : int64) =
   st.hooks.on_call fname;
-  match Intrinsics.of_name fname with
-  | Some k -> do_intrinsic st k args
-  | None ->
-      let f = Program.find_func_exn st.program fname in
-      let fr = fresh_frame st f in
-      List.iteri
-        (fun i p -> match List.nth_opt args i with
-          | Some v -> write_reg fr p v
-          | None -> ())
-        f.Func.params;
+  match resolve st fname with
+  | Builtin k -> do_intrinsic st k args
+  | Code c ->
+      let calls = st.calls in
+      if calls.depth >= max_call_depth then raise Call_depth_exceeded;
+      calls.depth <- calls.depth + 1;
+      let f = c.cfunc in
+      let fr = alloc_frame c in
+      bind_params fr f.Func.params args;
       write_reg fr Reg.sp (Vi caller_sp);
-      exec_block st fr (Func.entry f)
+      let results = exec_block st fr (Func.entry f) in
+      (* an exception abandons the whole run, so only a normal return needs
+         to hand the frame back *)
+      c.free <- fr :: c.free;
+      calls.depth <- calls.depth - 1;
+      results
 
 and exec_block st fr (b : Block.t) =
   st.hooks.on_block fr.func b;

@@ -15,6 +15,13 @@ exception Exit_program of int  (** raised by the [exit] intrinsic *)
 
 exception Out_of_fuel  (** the dynamic instruction budget was exhausted *)
 
+exception Call_depth_exceeded
+(** a call would make the chain of live calls deeper than [max_call_depth] *)
+
+(** The deepest call chain a run may build; far above any terminating
+    workload's, so in practice it only stops runaway recursion. *)
+val max_call_depth : int
+
 (** Instrumentation callbacks (all default to no-ops). *)
 type hooks = {
   on_block : Func.t -> Block.t -> unit;  (** every block entry *)
@@ -26,6 +33,12 @@ type hooks = {
 }
 
 val no_hooks : hooks
+
+(** Per-run call bookkeeping, internal to the interpreter: each callee
+    name's resolution (an intrinsic, or a function with its register-bank
+    geometry and a pool of released call frames, DESIGN.md §10) and the
+    live call depth. *)
+type calls
 
 (** Interpreter state; exposed so callers can read the event counters. *)
 type state = {
@@ -40,9 +53,7 @@ type state = {
   mutable wild_loads : int;  (** speculative accesses to unmapped pages *)
   mutable alat_recoveries : int;  (** chk.a entries found invalidated *)
   hooks : hooks;
-  vspans : (string, int * int * int) Hashtbl.t;
-      (** internal host-speed cache: per-function virtual-register bank
-          sizes (see DESIGN.md §10); not meaningful to callers *)
+  calls : calls;
 }
 
 (** Run [program] with the given input vector (read by the [input]

@@ -17,6 +17,7 @@ open Epic_sched
 exception Machine_fault of string
 exception Exit_program of int
 exception Out_of_fuel
+exception Call_depth_exceeded
 
 let warm_filter_size = 256
 
@@ -224,6 +225,7 @@ and t = {
   mutable cur_xbins : float array array;
   syms : (string, int64) Hashtbl.t; (* memoized symbol addresses *)
   mutable free_frames : frame list; (* frame pool: released call frames *)
+  mutable depth : int; (* live calls, bounded by [Interp.max_call_depth] *)
   (* Interval sampling (DESIGN.md §13): in a warm phase [warm] is true and
      the timing model is bypassed — no charges, no clock, no stalls — while
      the functional state and the cache/TLB/predictor warming evolve.  The
@@ -414,6 +416,7 @@ let create ?(fuel = 400_000_000) ?trace ?profile ?experiment
       | Some s -> Array.make (Accounting.set_size s) [||]);
     syms = Hashtbl.create 32;
     free_frames = [];
+    depth = 0;
     warm = false;
     sampling = sampling_state;
     sample_summary = None;
@@ -1511,6 +1514,8 @@ and exec_call st (caller_fr : frame) (fname : string) (args : (int64 * bool) lis
   match Intrinsics.of_name fname with
   | Some k -> do_intrinsic st k args
   | None ->
+      if st.depth >= Interp.max_call_depth then raise Call_depth_exceeded;
+      st.depth <- st.depth + 1;
       let f = Program.find_func_exn st.program fname in
       let df =
         match Hashtbl.find_opt st.decoded fname with
@@ -1571,6 +1576,7 @@ and exec_call st (caller_fr : frame) (fname : string) (args : (int64 * bool) lis
       st.pos_blk <- saved_blk;
       st.pos_gi <- saved_gi;
       release_frame st fr;
+      st.depth <- st.depth - 1;
       (* settle samples owed to the callee before attribution reverts *)
       sample_tick st;
       st.cur_func <- saved_func;
@@ -2351,6 +2357,8 @@ let resume_blocks st (fr : frame) (df : dfunc) (db : dblock) (gi0 : int)
 let rec resume_entries st ~caller_func ~caller_block = function
   | [] -> invalid_arg "Machine.resume: empty checkpoint stack"
   | (e : ck_entry) :: deeper ->
+      (* each level is one live call of the captured run *)
+      st.depth <- st.depth + 1;
       let fr = materialize_frame st e.ke_frame in
       let df =
         match Hashtbl.find_opt st.decoded e.ke_frame.kf_func with
@@ -2396,6 +2404,7 @@ let rec resume_entries st ~caller_func ~caller_block = function
         with Returned vs -> vs
       in
       release_frame st fr;
+      st.depth <- st.depth - 1;
       (* replay [exec_call]'s return sequence *)
       sample_tick st;
       st.cur_func <- caller_func;
@@ -2478,6 +2487,7 @@ let resume ?fuel ?trace ?profile ?experiment ?(experiments = [])
         | Some s -> Array.make (Accounting.set_size s) [||]);
       syms = Hashtbl.create 32;
       free_frames = [];
+      depth = 0;
       warm = false;
       sampling = None;
       sample_summary = None;

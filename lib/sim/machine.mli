@@ -11,6 +11,10 @@ exception Machine_fault of string
 exception Exit_program of int
 exception Out_of_fuel
 
+exception Call_depth_exceeded
+(** a call would make the chain of live calls deeper than
+    {!Epic_ir.Interp.max_call_depth} *)
+
 (** Retired-operation and event counters (the Pfmon counter set). *)
 type counters = {
   mutable useful_ops : int;
@@ -105,6 +109,7 @@ type t = {
   syms : (string, int64) Hashtbl.t;  (** memoized symbol addresses *)
   mutable free_frames : frame list;
       (** pool of released call frames, cleared on reuse (DESIGN.md §10) *)
+  mutable depth : int;  (** calls live at this point of the run *)
   mutable warm : bool;
       (** interval sampling (DESIGN.md §13): in a warm phase the timing
           model is bypassed — no charges, no clock, no stalls — while the

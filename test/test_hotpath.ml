@@ -1,7 +1,8 @@
 (* Tests for the host-performance engineering layer (DESIGN.md §10): the
    word-granularity memory image with its page-handle cache, the predecoded
-   label index in Func, the flattened interpreter register files, the cache
-   set-index bitmask, and the host section of run exports.
+   label index in Func, the flattened and pooled interpreter register files,
+   the executors' call-depth bound, the cache set-index bitmask, and the
+   host section of run exports.
 
    The common theme: every optimization here must be architecturally
    invisible, so each test checks the fast path against the semantics the
@@ -276,6 +277,157 @@ let test_interp_executed_count_exact () =
   check ci "returns 3" 3 code;
   check ci "exactly three instructions executed" 3 st.Interp.executed
 
+(* --- Interp: pooled frames and the call-depth bound ------------------------ *)
+
+(* A released frame is reused by the next call of the same function, so it
+   must read exactly like a fresh one.  [f] writes an integer, a float, a
+   predicate, a NaT and a physical register only when its argument is
+   non-zero; called with 1 and then 0, the second call (on the pooled
+   frame) must see every one of them unwritten. *)
+let test_interp_pooled_frame_reads_fresh () =
+  Instr.reset_ids ();
+  let p = Program.create () in
+  let x = Reg.virt 1 Reg.Int in
+  let f = Func.create "f" [ x ] in
+  let b = Builder.create f in
+  ignore (Builder.start_block b "entry");
+  let pt = Builder.fresh_pred b and pf = Builder.fresh_pred b in
+  Builder.cmp b Opcode.Ne pt pf (Operand.Reg x) (Operand.imm 0);
+  let vi = Builder.fresh_int b in
+  ignore (Builder.emit b ~pred:pt Opcode.Mov ~dsts:[ vi ] ~srcs:[ Operand.imm 42 ]);
+  let vf = Builder.fresh b Reg.Flt in
+  ignore
+    (Builder.emit b ~pred:pt Opcode.Fadd ~dsts:[ vf ]
+       ~srcs:[ Operand.Fimm 1.5; Operand.Fimm 0. ]);
+  let vq = Builder.fresh_pred b and vq' = Builder.fresh_pred b in
+  ignore
+    (Builder.emit b ~pred:pt
+       (Opcode.Cmp (Opcode.Eq, Opcode.Norm))
+       ~dsts:[ vq; vq' ] ~srcs:[ Operand.imm 0; Operand.imm 0 ]);
+  let r14 = Reg.phys 14 Reg.Int in
+  ignore (Builder.emit b ~pred:pt Opcode.Mov ~dsts:[ r14 ] ~srcs:[ Operand.imm 5 ]);
+  (* a wild speculative load leaves a NaT; storing it is one NaT fault *)
+  let vn = Builder.fresh_int b in
+  ignore
+    (Builder.emit b ~pred:pt
+       (Opcode.Ld (Opcode.B8, Opcode.Spec_general))
+       ~dsts:[ vn ] ~srcs:[ Operand.imm 0x500000 ]);
+  ignore (Builder.store b (Operand.Reg Reg.sp) (Operand.Reg vn));
+  let vk = Builder.fresh_int b in
+  ignore (Builder.emit b ~pred:vq Opcode.Mov ~dsts:[ vk ] ~srcs:[ Operand.imm 7 ]);
+  let vfi = Builder.fresh_int b in
+  ignore (Builder.emit b Opcode.Cvt_fi ~dsts:[ vfi ] ~srcs:[ Operand.Reg vf ]);
+  let s1 = Builder.fresh_int b and s2 = Builder.fresh_int b and s3 = Builder.fresh_int b in
+  Builder.add b s1 (Operand.Reg vi) (Operand.Reg vk);
+  Builder.add b s2 (Operand.Reg s1) (Operand.Reg vfi);
+  Builder.add b s3 (Operand.Reg s2) (Operand.Reg r14);
+  Builder.ret b [ Operand.Reg s3 ];
+  Program.add_func p f;
+  let main = Func.create "main" [] in
+  let mb = Builder.create main in
+  ignore (Builder.start_block mb "entry");
+  List.iter
+    (fun arg ->
+      let r = Builder.fresh_int mb in
+      ignore (Builder.call mb ~dsts:[ r ] "f" [ Operand.imm arg ]);
+      ignore (Builder.call mb "print_int" [ Operand.Reg r ]))
+    [ 1; 0 ];
+  Builder.ret mb [ Operand.imm 0 ];
+  Program.add_func p main;
+  Program.assign_addresses p;
+  let code, out, st = Interp.run p [||] in
+  check ci "exit code" 0 code;
+  check cs "first call writes, second reads zeros" "55\n0" (String.trim out);
+  check ci "only the first call's NaT store faults" 1 st.Interp.nat_faults
+
+(* Recursion takes one pooled frame per live level: every level must keep
+   its own registers, and the result must match the machine's. *)
+let fib_source =
+  {|
+int fib(int n) { if (n < 2) { return n; } return fib(n - 1) + fib(n - 2); }
+int main() { print_int(fib(15)); return 0; }
+|}
+
+let test_interp_pooled_recursion () =
+  let p = Epic_frontend.Lower.compile_source fib_source in
+  let code, out, _ = Interp.run p [||] in
+  check ci "exit code" 0 code;
+  check cs "fib(15)" "610" (String.trim out);
+  List.iter
+    (fun config ->
+      let c = Epic_core.Driver.compile ~config ~train:[||] fib_source in
+      let ic, io = Epic_core.Driver.run_reference c [||] in
+      let mc, mo, _ = Epic_core.Driver.run c [||] in
+      check ci "interpreter exit code" 0 ic;
+      check cs "interpreter matches" out io;
+      check ci "machine exit code" 0 mc;
+      check cs "machine matches" out mo)
+    [ Epic_core.Config.gcc_like; Epic_core.Config.ilp_cs ]
+
+(* Virtual banks are indexed from the function's smallest id of each class,
+   so widely spread ids in one function still address distinct slots. *)
+let test_interp_sparse_virt_ids () =
+  Instr.reset_ids ();
+  let p = Program.create () in
+  let f = Func.create "main" [] in
+  let b = Builder.create f in
+  ignore (Builder.start_block b "entry");
+  let lo = Reg.virt 3 Reg.Int and hi = Reg.virt 1_000_000 Reg.Int in
+  let flo = Reg.virt 4 Reg.Flt and fhi = Reg.virt 700_000 Reg.Flt in
+  let fi = Reg.virt 500_000 Reg.Int in
+  Builder.movi b lo 40;
+  Builder.add b hi (Operand.Reg lo) (Operand.imm 2);
+  ignore (Builder.emit b Opcode.Fadd ~dsts:[ flo ] ~srcs:[ Operand.Fimm 0.5; Operand.Fimm 0.5 ]);
+  ignore
+    (Builder.emit b Opcode.Fadd ~dsts:[ fhi ] ~srcs:[ Operand.Reg flo; Operand.Fimm 2. ]);
+  ignore (Builder.emit b Opcode.Cvt_fi ~dsts:[ fi ] ~srcs:[ Operand.Reg fhi ]);
+  ignore (Builder.call b "print_int" [ Operand.Reg hi ]);
+  ignore (Builder.call b "print_int" [ Operand.Reg lo ]);
+  ignore (Builder.call b "print_int" [ Operand.Reg fi ]);
+  Builder.ret b [ Operand.imm 0 ];
+  Program.add_func p f;
+  Program.assign_addresses p;
+  let code, out, _ = Interp.run p [||] in
+  check ci "exit code" 0 code;
+  check cs "output" "42\n40\n3" (String.trim out)
+
+let runaway_source =
+  {|
+int down(int x) { return down(x + 1) + 1; }
+int main() { return down(0); }
+|}
+
+(* Runaway recursion stops at the depth bound in both executors, with an
+   exception of its own and without growing the heap beyond the bound's
+   worth of frames. *)
+let test_call_depth_bound () =
+  let heap_mb () =
+    (Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8) / (1024 * 1024)
+  in
+  let before = heap_mb () in
+  let p = Epic_frontend.Lower.compile_source runaway_source in
+  check cb "interpreter raises Call_depth_exceeded" true
+    (match Interp.run p [||] with
+    | _ -> false
+    | exception Interp.Call_depth_exceeded -> true);
+  (* GCC-like compiles without profiling, so the machine meets it first *)
+  let c =
+    Epic_core.Driver.compile ~config:Epic_core.Config.gcc_like ~train:[||] runaway_source
+  in
+  check cb "machine raises Call_depth_exceeded" true
+    (match Epic_core.Driver.run c [||] with
+    | _ -> false
+    | exception Epic_sim.Machine.Call_depth_exceeded -> true);
+  check cb "reference check raises too" true
+    (match Epic_core.Driver.run_reference c [||] with
+    | _ -> false
+    | exception Interp.Call_depth_exceeded -> true);
+  let grown = heap_mb () - before in
+  if grown > 256 then Alcotest.failf "heap grew by %d MB" grown;
+  check cb "the differential check calls the case vacuous" true
+    (Epic_core.Random_program.check runaway_source [||]
+    = Epic_core.Random_program.Skipped)
+
 (* The whole-pipeline differential property: the flattened interpreter must
    agree with the unoptimized reference AND the machine simulator at every
    level (the same oracle the seed engines satisfied). *)
@@ -367,6 +519,10 @@ let suite =
     ("interp wild/nat counters", `Quick, test_interp_counters_wild_and_nat);
     ("interp alat counters", `Quick, test_interp_counters_alat);
     ("interp executed count", `Quick, test_interp_executed_count_exact);
+    ("interp pooled frame reads fresh", `Quick, test_interp_pooled_frame_reads_fresh);
+    ("interp pooled recursion matches machine", `Quick, test_interp_pooled_recursion);
+    ("interp sparse virtual ids", `Quick, test_interp_sparse_virt_ids);
+    ("call depth bound in both executors", `Quick, test_call_depth_bound);
     QCheck_alcotest.to_alcotest qcheck_flat_interp_differential;
     ("cache mask geometry", `Quick, test_cache_mask_geometry);
     ("cache access/probe agree", `Quick, test_cache_access_probe_agree);

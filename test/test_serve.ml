@@ -311,6 +311,46 @@ let test_protocol_envelopes () =
         [ "compile"; "run"; "reference" ]
   | Error e -> Alcotest.fail e
 
+(* A request whose program recurses without bound is an error response —
+   at ILP-CS the profiling run meets the depth bound, at GCC level the
+   simulation or reference run does — and it leaves the session intact: a
+   cached request afterwards still answers byte-identically. *)
+let test_protocol_runaway_recursion () =
+  let s = Session.create () in
+  let exec line = Protocol.execute s (Protocol.parse line) in
+  let good = Printf.sprintf {|{"id": 1, "op": "run", "source": %S, "input": [3]}|} prog_a in
+  ignore (exec good);
+  let cached = exec good in
+  let runaway = "int down(int x) { return down(x + 1) + 1; } int main() { return down(0); }" in
+  List.iter
+    (fun level ->
+      let line =
+        Printf.sprintf {|{"id": 2, "op": "run", "level": %S, "source": %S}|} level runaway
+      in
+      match Json.of_string (exec line) with
+      | Ok j ->
+          Alcotest.(check bool) (level ^ ": runaway recursion is not ok") true
+            (Json.member "ok" j = Some (Json.Bool false));
+          let error =
+            match Json.member "error" j with Some (Json.Str m) -> m | _ -> ""
+          in
+          Alcotest.(check bool) (level ^ ": stopped by the depth bound") true
+            (List.mem error
+               [
+                 Printexc.to_string Epic_ir.Interp.Call_depth_exceeded;
+                 Printexc.to_string Epic_sim.Machine.Call_depth_exceeded;
+               ])
+      | Error e -> Alcotest.fail e)
+    [ "ilp-cs"; "gcc" ];
+  let again = exec good in
+  (match Json.of_string again with
+  | Ok j ->
+      Alcotest.(check bool) "still ok" true (Json.member "ok" j = Some (Json.Bool true));
+      Alcotest.(check bool) "served from cache" true
+        (Json.member "cached" j = Some (Json.Bool true))
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check string) "byte-identical to the earlier hit" cached again
+
 let test_protocol_heaviness () =
   Alcotest.(check bool) "run is light" false
     (Protocol.is_heavy (Protocol.parse {|{"op":"run","source":"int main(){return 0;}"}|}));
@@ -340,4 +380,6 @@ let suite =
     Alcotest.test_case "protocol envelopes and error paths" `Quick
       test_protocol_envelopes;
     Alcotest.test_case "protocol op classification" `Quick test_protocol_heaviness;
+    Alcotest.test_case "runaway recursion is an error, session intact" `Quick
+      test_protocol_runaway_recursion;
   ]
